@@ -1,0 +1,11 @@
+#include <time.h>
+#include <caml/mlvalues.h>
+
+/* Monotonic wall clock in nanoseconds, as an OCaml int (noalloc). */
+value perfbench_now_ns(value unit)
+{
+  struct timespec ts;
+  (void)unit;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return Val_long((long)ts.tv_sec * 1000000000L + ts.tv_nsec);
+}
